@@ -414,7 +414,11 @@ func (st *Store) ReplayWALSegments(fn func(payload []byte) error) (int, error) {
 // older bases, deltas at or below the oldest kept base's generation, and
 // WAL segments below it (a segment numbered g holds only records appended
 // after generation g was captured, which that base's state subsumes).
-// Corrupt bases don't count toward keep — they are not recovery points.
+// Corrupt bases don't count toward keep — they are not recovery points —
+// and nothing is collected unless an intact base older than the kept ones
+// exists. Bases are read back newest first, and only until that older
+// intact base is found; a store with no more than keep base files has
+// nothing to collect and reads none.
 func (st *Store) GC(keep int) error {
 	if keep < 1 {
 		keep = 1
@@ -423,25 +427,39 @@ func (st *Store) GC(keep int) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: scanning store: %w", err)
 	}
-	var baseGens []uint64
+	type baseFile struct {
+		gen  uint64
+		name string
+	}
+	var bases []baseFile
 	for _, e := range entries {
-		kind, gen, ok := parseGenName(e.Name())
-		if !ok || kind != 'b' {
-			continue
+		if kind, gen, ok := parseGenName(e.Name()); ok && kind == 'b' {
+			bases = append(bases, baseFile{gen, e.Name()})
 		}
-		raw, err := st.fs.ReadFile(filepath.Join(st.dir, e.Name()))
+	}
+	if len(bases) <= keep {
+		return nil
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i].gen > bases[j].gen })
+	var cutoff uint64
+	intact := 0
+	for _, b := range bases {
+		raw, err := st.fs.ReadFile(filepath.Join(st.dir, b.name))
 		if err != nil {
 			continue
 		}
-		if _, err := DecodeGenFrame(raw); err == nil {
-			baseGens = append(baseGens, gen)
+		if _, err := DecodeGenFrame(raw); err != nil {
+			continue
+		}
+		if intact++; intact == keep {
+			cutoff = b.gen
+		} else if intact > keep {
+			break
 		}
 	}
-	if len(baseGens) <= keep {
+	if intact <= keep {
 		return nil
 	}
-	sort.Slice(baseGens, func(i, j int) bool { return baseGens[i] > baseGens[j] })
-	cutoff := baseGens[keep-1]
 	for _, e := range entries {
 		kind, gen, ok := parseGenName(e.Name())
 		if !ok {

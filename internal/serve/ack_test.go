@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -282,6 +283,126 @@ func TestResultsAfterValidation(t *testing.T) {
 		if status, resp := c.do(http.MethodGet, "/v1/results?after="+ok, nil); status != http.StatusOK {
 			t.Fatalf("after=%s: status %d, want 200 (%s)", ok, status, resp)
 		}
+	}
+	if _, err := tsShutdown(ts); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestCancelledRequestsReleaseWaiters pins the ack wait's resource bound:
+// a client that times out must not leave its handler goroutine (and its
+// applied-cursor waiter) parked until apply. Apply is wedged at
+// PointEventIngested while a storm of short-deadline requests — verbatim
+// duplicate-only retries of the wedged batch, and fresh batches queued
+// behind it — times out; the goroutine count must return to its baseline
+// while apply is still stalled, and the wedged batch must still be
+// acknowledged once apply resumes.
+func TestCancelledRequestsReleaseWaiters(t *testing.T) {
+	release := make(chan struct{})
+	reached := make(chan struct{})
+	var once atomic.Bool
+	scenario := workload.Config{
+		EpsilonG: 1, Seed: 1, Parallelism: 1,
+		FaultHook: func(p stream.FaultPoint) error {
+			if p == stream.PointEventIngested && once.CompareAndSwap(false, true) {
+				close(reached)
+				<-release
+			}
+			return nil
+		},
+	}
+	meta := tinyMeta()
+	meta.Advertisers = []dataset.Advertiser{tinyAdvertiser()}
+	ts := newTestServer(t, serve.Config{Scenario: scenario, Meta: meta})
+	var unwedgeOnce sync.Once
+	unwedge := func() { unwedgeOnce.Do(func() { close(release) }) }
+	t.Cleanup(unwedge)
+
+	batch := func(evs ...events.Event) []byte {
+		req := serve.IngestRequest{}
+		for _, ev := range evs {
+			req.Events = append(req.Events, serve.WireFromEvent(ev))
+		}
+		body, _ := json.Marshal(req)
+		return body
+	}
+	wedged := batch(tinyConv(7, 0, 1))
+	first := make(chan postOutcome, 1)
+	go func() {
+		var out postOutcome
+		resp, err := ts.http.Client().Post(ts.http.URL+"/v1/events", "application/json",
+			bytes.NewReader(wedged))
+		if err != nil {
+			out.err = err
+		} else {
+			out.status = resp.StatusCode
+			out.err = json.NewDecoder(resp.Body).Decode(&out.resp)
+			resp.Body.Close()
+		}
+		first <- out
+	}()
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("consumer never reached the ingest wedge")
+	}
+
+	baseline := runtime.NumGoroutine()
+	storm := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	const requests = 64
+	var wg sync.WaitGroup
+	var timedOut atomic.Int64
+	for i := 0; i < requests; i++ {
+		body := wedged
+		if i%2 == 1 {
+			body = batch(tinyConv(uint64(8+i), 0, uint64(100+i)))
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
+				ts.http.URL+"/v1/events", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := storm.Do(req)
+			if err != nil {
+				timedOut.Add(1)
+				return
+			}
+			resp.Body.Close()
+			t.Errorf("request answered %d while apply was wedged", resp.StatusCode)
+		}()
+	}
+	wg.Wait()
+	if n := timedOut.Load(); n != requests {
+		t.Fatalf("%d of %d storm requests timed out", n, requests)
+	}
+
+	// Handlers notice the closed connections asynchronously; give them a
+	// bounded moment. Apply is still wedged throughout.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the storm, baseline %d: cancelled handlers stayed parked",
+				runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	select {
+	case out := <-first:
+		t.Fatalf("wedged batch answered (%+v) before apply resumed", out)
+	default:
+	}
+
+	unwedge()
+	select {
+	case out := <-first:
+		if out.err != nil || out.status != http.StatusOK || out.resp.Accepted != 1 {
+			t.Fatalf("wedged batch: status %d err %v resp %+v", out.status, out.err, out.resp)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("wedged batch never completed after apply resumed")
 	}
 	if _, err := tsShutdown(ts); err != nil {
 		t.Fatalf("shutdown: %v", err)

@@ -407,10 +407,10 @@ func (s *Server) onAdmit(ev events.Event, dropped bool) {
 	s.mu.Unlock()
 }
 
-// resolveStopped runs when the service stopped while a handler was parked
-// on its waiters: any waiter still registered was not applied before the
-// stop, so the batch is not durable and the client must retry. Waiters
-// are deregistered either way.
+// resolveStopped runs when the service stopped, or the request was
+// cancelled, while a handler was parked on its waiters: any waiter still
+// registered was not applied yet, so the batch is not known durable and
+// the client must retry. Waiters are deregistered either way.
 func (s *Server) resolveStopped(waits []*appliedWaiter) (pending bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -754,6 +754,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				})
 				return
 			}
+		case <-r.Context().Done():
+			// The client gave up (timeout or disconnect). Deregister the
+			// remaining waiters so neither they nor this goroutine stay
+			// parked until apply; the admitted events still apply, and a
+			// retry deduplicates against them. No 200 goes out: nobody is
+			// left to read it, and the batch may not be applied yet.
+			s.resolveStopped(waits[i:])
+			writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
+				Error: "request cancelled before the batch was applied; retry",
+				Code:  CodeUnavailable,
+			})
+			return
 		}
 		break
 	}

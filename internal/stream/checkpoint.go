@@ -384,7 +384,8 @@ func (s *Service) Checkpoint(dir string) error {
 	if len(s.due) != 0 {
 		return fmt.Errorf("stream: checkpoint with %d unflushed queries", len(s.due))
 	}
-	payload, err := json.Marshal(s.snapshot())
+	snap := s.snapshot()
+	payload, err := json.Marshal(snap)
 	if err != nil {
 		return fmt.Errorf("stream: encoding snapshot: %w", err)
 	}
@@ -403,6 +404,7 @@ func (s *Service) Checkpoint(dir string) error {
 	}
 	if st == s.store {
 		s.headGen, s.headFP = gen, fp
+		s.fold = newChainFold(snap)
 		if s.nextGen <= gen {
 			s.nextGen = gen + 1
 		}
@@ -599,14 +601,15 @@ func ResumeFrom(cfg Config, dir string) (*Service, error) {
 	}
 	restored := false
 	if chain != nil {
-		folded, err := foldChain(chain.Payloads)
+		fold, err := foldChain(chain.Payloads)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.restore(folded); err != nil {
+		if err := s.restore(fold.snapshot()); err != nil {
 			return nil, err
 		}
 		s.headGen, s.headFP = chain.Gen, chain.FP
+		s.fold = fold
 		restored = true
 	}
 	maxGen, err := st.MaxGen()

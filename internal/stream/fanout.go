@@ -63,11 +63,6 @@ func FanOutWorkers(n, workers int, fn func(worker, job int)) {
 	}
 }
 
-// FanOut is FanOutWorkers for callers with no per-worker state.
-func FanOut(n, workers int, fn func(job int)) {
-	FanOutWorkers(n, workers, func(_, job int) { fn(job) })
-}
-
 // scratchPerWorker sizes a per-worker scratch pool for n jobs on up to
 // workers goroutines (matching FanOutWorkers' clamping).
 func scratchPerWorker(n, workers int) []core.Scratch {

@@ -443,6 +443,9 @@ type Service struct {
 	headGen uint64
 	headFP  uint32
 	nextGen uint64
+	// fold is the chain at headGen folded into its full state, held until
+	// openDurability hands it to the writer (which then owns it).
+	fold *chainFold
 	// writer commits captured snapshots off the ingest thread; snapPending
 	// marks an enqueued capture whose result has not been harvested yet.
 	writer      *snapWriter
@@ -648,18 +651,11 @@ func (s *Service) Serve() (run *Run, err error) {
 			return nil, err
 		}
 		if !suspended || len(s.due) == 0 {
-			payload, err := json.Marshal(s.snapshot())
-			if err != nil {
-				return nil, fmt.Errorf("stream: encoding snapshot: %w", err)
-			}
 			gen := s.nextGen
 			s.nextGen++
-			fp, err := s.store.WriteBase(gen, payload)
-			if err != nil {
+			if err := s.commitBase(gen); err != nil {
 				return nil, err
 			}
-			s.headGen, s.headFP = gen, fp
-			s.run.Durability.BaseBytes += int64(len(payload))
 			if err := s.store.GC(s.cfg.KeepGenerations); err != nil {
 				return nil, err
 			}
@@ -683,16 +679,9 @@ func (s *Service) openDurability() error {
 		if err := s.store.Reset(); err != nil {
 			return err
 		}
-		payload, err := json.Marshal(s.snapshot())
-		if err != nil {
-			return fmt.Errorf("stream: encoding snapshot: %w", err)
-		}
-		fp, err := s.store.WriteBase(1, payload)
-		if err != nil {
+		if err := s.commitBase(1); err != nil {
 			return err
 		}
-		s.headGen, s.headFP = 1, fp
-		s.run.Durability.BaseBytes += int64(len(payload))
 		// The initial base and its WAL segment share generation 1: the
 		// segment holds exactly the events ingested after that capture.
 		walGen, s.nextGen = 1, 2
@@ -709,16 +698,9 @@ func (s *Service) openDurability() error {
 			// from WAL replay and the source alone. Re-anchor the chain
 			// with a fresh full base: deltas need an intact parent, and
 			// the next recovery must not depend on a second full replay.
-			payload, err := json.Marshal(s.snapshot())
-			if err != nil {
-				return fmt.Errorf("stream: encoding snapshot: %w", err)
-			}
-			fp, err := s.store.WriteBase(walGen, payload)
-			if err != nil {
+			if err := s.commitBase(walGen); err != nil {
 				return err
 			}
-			s.headGen, s.headFP = walGen, fp
-			s.run.Durability.BaseBytes += int64(len(payload))
 			// The re-anchor base subsumes everything recovery replayed, so
 			// the dirty marks taken before replay are stale: without a
 			// reset the first delta would re-carry state the base already
@@ -737,7 +719,27 @@ func (s *Service) openDurability() error {
 	if s.cfg.GroupCommitEvents > 0 || s.cfg.GroupCommitBytes > 0 {
 		s.wal.StartGroupCommit()
 	}
-	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations)
+	s.writer = newSnapWriter(s.store, s.cfg.BaseEveryDeltas, s.cfg.KeepGenerations, s.fold)
+	s.fold = nil
+	return nil
+}
+
+// commitBase writes the service's full state to its store as a fresh base
+// generation and makes it the chain head, with the fold the writer will
+// continue from.
+func (s *Service) commitBase(gen uint64) error {
+	snap := s.snapshot()
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		return fmt.Errorf("stream: encoding snapshot: %w", err)
+	}
+	fp, err := s.store.WriteBase(gen, payload)
+	if err != nil {
+		return err
+	}
+	s.headGen, s.headFP = gen, fp
+	s.fold = newChainFold(snap)
+	s.run.Durability.BaseBytes += int64(len(payload))
 	return nil
 }
 

@@ -16,6 +16,11 @@ import (
 // the day clock harvests the previous result before enqueueing the next
 // capture, so commits overlap ingest, never each other, and the chain's
 // parent fingerprints stay sequential.
+//
+// Compaction reads nothing back. The writer keeps a chainFold over the
+// committed chain — seeded with the base the service started it from, and
+// fed each capture once its write succeeds — so a compacted base is the
+// fold marshalled, never the chain re-read and re-decoded from disk.
 
 // snapJob is one captured snapshot handed to the background writer.
 type snapJob struct {
@@ -50,13 +55,18 @@ type snapWriter struct {
 	wg      sync.WaitGroup
 
 	deltasSince int // deltas committed since the last base, writer-owned
+	// fold is the committed chain folded up to its head, writer-owned.
+	fold *chainFold
 }
 
-func newSnapWriter(store *checkpoint.Store, baseEvery, keep int) *snapWriter {
+// newSnapWriter starts the writer over the chain whose fold is given: the
+// fold must describe exactly the committed chain head new deltas link onto.
+func newSnapWriter(store *checkpoint.Store, baseEvery, keep int, fold *chainFold) *snapWriter {
 	w := &snapWriter{
 		store:     store,
 		baseEvery: baseEvery,
 		keep:      keep,
+		fold:      fold,
 		jobs:      make(chan snapJob, 1),
 		results:   make(chan snapResult, 1),
 	}
@@ -99,6 +109,7 @@ func (w *snapWriter) commit(job snapJob) snapResult {
 			return res
 		}
 		res.fp = fp
+		w.fold = newChainFold(job.snap)
 		w.deltasSince = 0
 		res.err = w.store.GC(w.keep)
 		return res
@@ -109,6 +120,10 @@ func (w *snapWriter) commit(job snapJob) snapResult {
 		return res
 	}
 	res.fp = fp
+	if err := w.fold.add(job.snap); err != nil {
+		res.err = err
+		return res
+	}
 	w.deltasSince++
 	if w.baseEvery > 0 && w.deltasSince >= w.baseEvery {
 		res.err = w.compact(&res)
@@ -116,28 +131,18 @@ func (w *snapWriter) commit(job snapJob) snapResult {
 	return res
 }
 
-// compact folds the newest intact chain (which includes the delta just
-// written) into a base carrying the head's generation and fingerprint, so
-// later deltas chain onto either representation, then collects superseded
-// generations. Failure is reported as a crash, never as corrupt state: the
-// chain the fold read stays intact on disk.
+// compact writes the fold — which already includes the delta just written
+// — as a base carrying the head's generation and fingerprint, so later
+// deltas chain onto either representation, then collects superseded
+// generations. The fold needs no restart: it already is the compacted
+// base, and later deltas keep folding over it. Failure is reported as a
+// crash, never as corrupt state: the chain on disk stays intact.
 func (w *snapWriter) compact(res *snapResult) error {
-	chain, _, err := w.store.LoadChain()
-	if err != nil {
-		return err
-	}
-	if chain == nil {
-		return fmt.Errorf("stream: base compaction found no intact chain")
-	}
-	folded, err := foldChain(chain.Payloads)
-	if err != nil {
-		return err
-	}
-	payload, err := json.Marshal(folded)
+	payload, err := json.Marshal(w.fold.snapshot())
 	if err != nil {
 		return fmt.Errorf("stream: encoding compacted base: %w", err)
 	}
-	if err := w.store.WriteBaseLinked(chain.Gen, chain.FP, payload); err != nil {
+	if err := w.store.WriteBaseLinked(res.gen, res.fp, payload); err != nil {
 		return err
 	}
 	w.deltasSince = 0

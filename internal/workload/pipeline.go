@@ -8,9 +8,10 @@ import (
 
 // This file is the generate stage of the plan→generate→aggregate pipeline:
 // per-conversion report generation fanned out across a bounded worker pool.
-// The fan-out primitives (stream.FanOut, stream.GroupByDevice) live in the
-// streaming service, which multiplexes whole days of queries through them;
-// the batch engine applies them one query batch at a time.
+// The fan-out primitives (stream.Generator and stream.TrueValues, both over
+// stream.FanOutWorkers) live in the streaming service, which multiplexes
+// whole days of queries through them; the batch engine applies them one
+// query batch at a time.
 //
 // Determinism contract: Run results are bit-identical for every Parallelism
 // value. Two properties make that hold. First, work is partitioned by
