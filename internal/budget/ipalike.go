@@ -8,6 +8,7 @@
 package budget
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -123,19 +124,7 @@ func (b *IPALike) Rows() []FilterRow {
 		}
 	}
 	slices.SortFunc(rows, func(x, y FilterRow) int {
-		if x.Querier != y.Querier {
-			if x.Querier < y.Querier {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case x.Epoch < y.Epoch:
-			return -1
-		case x.Epoch > y.Epoch:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(x.Querier, y.Querier), cmp.Compare(x.Epoch, y.Epoch))
 	})
 	return rows
 }

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -82,18 +83,7 @@ func (db *Database) DrainDirty() []DeviceEpochKey {
 	}
 	clear(db.dirty)
 	slices.SortFunc(keys, func(a, b DeviceEpochKey) int {
-		switch {
-		case a.Device != b.Device:
-			if a.Device < b.Device {
-				return -1
-			}
-			return 1
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Device, b.Device), cmp.Compare(a.Epoch, b.Epoch))
 	})
 	return keys
 }
@@ -288,18 +278,7 @@ func (db *Database) compileColumns() *colStore {
 	}
 	db.epochs = nil // refs own the record headers now
 	slices.SortFunc(refs, func(a, b recRef) int {
-		switch {
-		case a.dev != b.dev:
-			if a.dev < b.dev {
-				return -1
-			}
-			return 1
-		case a.e < b.e:
-			return -1
-		case a.e > b.e:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.dev, b.dev), cmp.Compare(a.e, b.e))
 	})
 
 	col := &colStore{

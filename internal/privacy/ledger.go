@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -371,19 +372,7 @@ func (l *Ledger) Rows() []LedgerEntry {
 		}
 	}
 	slices.SortFunc(rows, func(a, b LedgerEntry) int {
-		if a.Querier != b.Querier {
-			if a.Querier < b.Querier {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
+		return cmp.Or(cmp.Compare(a.Querier, b.Querier), cmp.Compare(a.Epoch, b.Epoch))
 	})
 	return rows
 }

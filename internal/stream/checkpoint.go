@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -181,6 +182,17 @@ type streamSnap struct {
 	Pending []byte `json:"pending,omitempty"`
 }
 
+// streamSnapOf captures one planner stream's cursor.
+func streamSnapOf(key streamKey, st *streamState) streamSnap {
+	return streamSnap{Site: string(key.site), Product: key.product, Epsilon: math.Float64bits(st.epsilon),
+		Seq: st.seq, Capped: st.capped, Pending: events.MarshalEvents(st.pending)}
+}
+
+// compareStreamSnaps orders planner cursors by stream key.
+func compareStreamSnaps(a, b streamSnap) int {
+	return cmp.Or(cmp.Compare(a.Site, b.Site), cmp.Compare(a.Product, b.Product))
+}
+
 // resultState is one released query result, floats as bit patterns.
 type resultState struct {
 	Querier        string `json:"querier"`
@@ -199,93 +211,6 @@ type resultState struct {
 	FirstEpoch     int32  `json:"firstEpoch"`
 	LastEpoch      int32  `json:"lastEpoch"`
 	AvgBudgetAfter uint64 `json:"avgBudgetAfterBits"`
-}
-
-// The requested-epoch accounting (Fig. 4 denominators) serializes as one
-// binary blob for the same reason as the slot tables: it holds an entry per
-// (device, epoch, querier) touch. Layout: u32 entry count, then per entry
-// u64 device, u32 epoch (two's complement), u32 site count, and the
-// length-prefixed site strings.
-
-// encodeRequested packs the accounting in sorted order.
-func encodeRequested(requested map[DevEpoch]map[events.Site]struct{}) []byte {
-	if len(requested) == 0 {
-		return nil
-	}
-	keys := make([]DevEpoch, 0, len(requested))
-	for key := range requested {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b DevEpoch) int {
-		switch {
-		case a.Device != b.Device:
-			if a.Device < b.Device {
-				return -1
-			}
-			return 1
-		case a.Epoch < b.Epoch:
-			return -1
-		case a.Epoch > b.Epoch:
-			return 1
-		}
-		return 0
-	})
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(keys)))
-	var sites []string
-	for _, key := range keys {
-		sites = sites[:0]
-		for site := range requested[key] {
-			sites = append(sites, string(site))
-		}
-		slices.Sort(sites)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(key.Device))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(key.Epoch)))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sites)))
-		for _, s := range sites {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-	}
-	return buf
-}
-
-// decodeRequested rebuilds the accounting map from an encodeRequested blob.
-func decodeRequested(buf []byte, into map[DevEpoch]map[events.Site]struct{}) error {
-	if len(buf) == 0 {
-		return nil
-	}
-	if len(buf) < 4 {
-		return fmt.Errorf("stream: truncated requested table")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	for i := 0; i < n; i++ {
-		if len(buf) < 16 {
-			return fmt.Errorf("stream: truncated requested entry")
-		}
-		dev := events.DeviceID(binary.LittleEndian.Uint64(buf))
-		epoch := events.Epoch(int32(binary.LittleEndian.Uint32(buf[8:])))
-		sn := int(binary.LittleEndian.Uint32(buf[12:]))
-		buf = buf[16:]
-		m := make(map[events.Site]struct{}, sn)
-		for j := 0; j < sn; j++ {
-			if len(buf) < 4 {
-				return fmt.Errorf("stream: truncated requested site")
-			}
-			ln := int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-			if ln < 0 || ln > len(buf) {
-				return fmt.Errorf("stream: requested site of %d bytes exceeds buffer", ln)
-			}
-			m[events.Site(buf[:ln])] = struct{}{}
-			buf = buf[ln:]
-		}
-		into[DevEpoch{dev, epoch}] = m
-	}
-	if len(buf) != 0 {
-		return fmt.Errorf("stream: %d trailing bytes in requested table", len(buf))
-	}
-	return nil
 }
 
 // centralState is one central (IPA-like) filter row.
@@ -439,34 +364,13 @@ func (s *Service) snapshot() *snapState {
 
 	// Planner cursor, sorted by stream key for deterministic bytes.
 	for key, st := range s.plan.streams {
-		snap.Streams = append(snap.Streams, streamSnap{
-			Site:    string(key.site),
-			Product: key.product,
-			Epsilon: math.Float64bits(st.epsilon),
-			Seq:     st.seq,
-			Capped:  st.capped,
-			Pending: events.MarshalEvents(st.pending),
-		})
+		snap.Streams = append(snap.Streams, streamSnapOf(key, st))
 	}
-	slices.SortFunc(snap.Streams, func(a, b streamSnap) int {
-		if a.Site != b.Site {
-			if a.Site < b.Site {
-				return -1
-			}
-			return 1
-		}
-		if a.Product != b.Product {
-			if a.Product < b.Product {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(snap.Streams, compareStreamSnaps)
 
 	snap.Results = appendResultStates(nil, s.run.Results)
 	if s.run.Requested != nil {
-		snap.Requested = encodeRequested(s.run.Requested)
+		snap.Requested = s.run.Requested.encode()
 	}
 	return snap
 }
@@ -505,15 +409,7 @@ func (s *Service) scalarSnap() *snapState {
 			Device: uint64(dev), Day: m.Day, ID: uint64(m.ID),
 		})
 	}
-	slices.SortFunc(snap.DropMarks, func(a, b dropMarkState) int {
-		switch {
-		case a.Device < b.Device:
-			return -1
-		case a.Device > b.Device:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(snap.DropMarks, func(a, b dropMarkState) int { return cmp.Compare(a.Device, b.Device) })
 
 	watermark, seen := s.agg.SnapshotNonces()
 	snap.AggWatermark = uint64(watermark)
@@ -814,9 +710,11 @@ func (s *Service) restore(snap *snapState) error {
 		s.observeResult(s.run.Results[len(s.run.Results)-1])
 	}
 	if s.run.Requested != nil {
-		if err := decodeRequested(snap.Requested, s.run.Requested); err != nil {
+		set, err := decodeRequestedSet(snap.Requested)
+		if err != nil {
 			return err
 		}
+		s.run.Requested = set
 	}
 	return nil
 }

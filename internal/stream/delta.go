@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/json"
@@ -32,7 +33,7 @@ func (s *Service) resetDirtyTracking() {
 	s.db.DrainDirty()
 	s.plan.trackDirty()
 	if s.run.Requested != nil {
-		s.dirtyReq = make(map[DevEpoch]struct{})
+		s.run.Requested.trackDirty()
 	}
 	s.ledgerVers = make(map[events.DeviceID]uint64)
 	s.fleet.Range(func(d *core.Device) bool {
@@ -75,29 +76,14 @@ func (s *Service) captureDelta() *snapState {
 	}
 
 	for _, key := range s.plan.drainDirty() {
-		st := s.plan.streams[key]
-		snap.Streams = append(snap.Streams, streamSnap{
-			Site:    string(key.site),
-			Product: key.product,
-			Epsilon: math.Float64bits(st.epsilon),
-			Seq:     st.seq,
-			Capped:  st.capped,
-			Pending: events.MarshalEvents(st.pending),
-		})
+		snap.Streams = append(snap.Streams, streamSnapOf(key, s.plan.streams[key]))
 	}
 
 	snap.Results = appendResultStates(nil, s.run.Results[s.resultsMark:])
 	s.resultsMark = len(s.run.Results)
 
-	if s.run.Requested != nil && len(s.dirtyReq) > 0 {
-		sub := make(map[DevEpoch]map[events.Site]struct{}, len(s.dirtyReq))
-		for key := range s.dirtyReq {
-			if m, ok := s.run.Requested[key]; ok {
-				sub[key] = m
-			}
-		}
-		snap.Requested = encodeRequested(sub)
-		clear(s.dirtyReq)
+	if s.run.Requested != nil {
+		snap.Requested = s.run.Requested.drainDirty()
 	}
 	return snap
 }
@@ -228,23 +214,13 @@ func (f *chainFold) snapshot() *snapState {
 	for _, rec := range f.records {
 		out.Records = append(out.Records, rec)
 	}
-	slices.SortFunc(out.Records, func(a, b recordState) int {
-		if c := cmp.Compare(a.Device, b.Device); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Epoch, b.Epoch)
-	})
+	slices.SortFunc(out.Records, func(a, b recordState) int { return recordKeyOf(a).compare(recordKeyOf(b)) })
 	if len(f.streams) > 0 {
 		out.Streams = make([]streamSnap, 0, len(f.streams))
 		for _, ss := range f.streams {
 			out.Streams = append(out.Streams, ss)
 		}
-		slices.SortFunc(out.Streams, func(a, b streamSnap) int {
-			if c := cmp.Compare(a.Site, b.Site); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Product, b.Product)
-		})
+		slices.SortFunc(out.Streams, compareStreamSnaps)
 	}
 	out.Results = f.results
 	out.Requested = f.requested
@@ -271,12 +247,15 @@ func foldChain(payloads [][]byte) (*chainFold, error) {
 	return fold, nil
 }
 
-// requestedCursor walks the entries of an encodeRequested table in order.
+// requestedCursor walks the entries of an encoded requested table in order,
+// rejecting any entry RequestedSet.encode could not have written.
 type requestedCursor struct {
 	buf   []byte // entries not yet read
 	left  int
+	read  bool // key holds the previous entry's key
 	key   DevEpoch
-	entry []byte // the current entry's encoding
+	entry []byte   // the current entry's encoding
+	sites [][]byte // the current entry's sites, in order
 }
 
 func openRequested(buf []byte) (requestedCursor, error) {
@@ -289,8 +268,9 @@ func openRequested(buf []byte) (requestedCursor, error) {
 	return requestedCursor{buf: buf[4:], left: int(binary.LittleEndian.Uint32(buf))}, nil
 }
 
-// next loads the following entry, validating its framing; ok is false past
-// the last entry.
+// next loads the following entry, validating its framing and canonical
+// form: keys strictly ascending, at least one site, sites strictly
+// ascending. ok is false past the last entry.
 func (c *requestedCursor) next() (ok bool, err error) {
 	if c.left == 0 {
 		if len(c.buf) != 0 {
@@ -302,8 +282,20 @@ func (c *requestedCursor) next() (ok bool, err error) {
 	if len(c.buf) < 16 {
 		return false, fmt.Errorf("stream: truncated requested entry")
 	}
+	key := DevEpoch{
+		Device: events.DeviceID(binary.LittleEndian.Uint64(c.buf)),
+		Epoch:  events.Epoch(int32(binary.LittleEndian.Uint32(c.buf[8:]))),
+	}
+	if c.read && key.compare(c.key) <= 0 {
+		return false, fmt.Errorf("stream: requested entry (%d, %d) out of order", key.Device, key.Epoch)
+	}
+	sites := binary.LittleEndian.Uint32(c.buf[12:])
+	if sites == 0 {
+		return false, fmt.Errorf("stream: requested entry (%d, %d) has no sites", key.Device, key.Epoch)
+	}
+	c.sites = c.sites[:0]
 	n := 16
-	for sites := binary.LittleEndian.Uint32(c.buf[12:]); sites > 0; sites-- {
+	for ; sites > 0; sites-- {
 		if len(c.buf)-n < 4 {
 			return false, fmt.Errorf("stream: truncated requested site")
 		}
@@ -312,21 +304,23 @@ func (c *requestedCursor) next() (ok bool, err error) {
 		if ln > len(c.buf)-n {
 			return false, fmt.Errorf("stream: requested site of %d bytes exceeds buffer", ln)
 		}
+		site := c.buf[n : n+ln]
+		if len(c.sites) > 0 && bytes.Compare(c.sites[len(c.sites)-1], site) >= 0 {
+			return false, fmt.Errorf("stream: requested entry (%d, %d) sites out of order", key.Device, key.Epoch)
+		}
+		c.sites = append(c.sites, site)
 		n += ln
 	}
-	c.key = DevEpoch{
-		Device: events.DeviceID(binary.LittleEndian.Uint64(c.buf)),
-		Epoch:  events.Epoch(int32(binary.LittleEndian.Uint32(c.buf[8:]))),
-	}
+	c.key, c.read = key, true
 	c.entry, c.buf = c.buf[:n], c.buf[n:]
 	return true, nil
 }
 
-// mergeRequested merges two encodeRequested tables, the delta's entry
+// mergeRequested merges two encoded requested tables, the delta's entry
 // winning on an equal (device, epoch) key: byte for byte what decoding both
-// into one map and re-encoding it produces, without building the map. Both
-// tables must be canonical (sorted, one entry per key, as encodeRequested
-// writes them); a truncated table is an error.
+// into one set and re-encoding it produces, without building the set. A
+// table that is truncated or not canonical (see requestedCursor.next) is an
+// error.
 func mergeRequested(base, delta []byte) ([]byte, error) {
 	b, err := openRequested(base)
 	if err != nil {
@@ -349,9 +343,7 @@ func mergeRequested(base, delta []byte) ([]byte, error) {
 	for okB || okD {
 		c := 1 // which side to emit: <0 base only, 0 equal keys, >0 delta only
 		if okB && okD {
-			if c = cmp.Compare(b.key.Device, d.key.Device); c == 0 {
-				c = cmp.Compare(b.key.Epoch, d.key.Epoch)
-			}
+			c = b.key.compare(d.key)
 		} else if okB {
 			c = -1
 		}

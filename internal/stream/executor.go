@@ -1,9 +1,10 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -35,14 +36,8 @@ func (s *Service) flushDue() error {
 	}
 	due := s.due
 	s.due = nil
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].adv.Site != due[j].adv.Site {
-			return due[i].adv.Site < due[j].adv.Site
-		}
-		if due[i].product != due[j].product {
-			return due[i].product < due[j].product
-		}
-		return due[i].seq < due[j].seq
+	slices.SortFunc(due, func(a, b *pendingQuery) int {
+		return cmp.Or(cmp.Compare(a.adv.Site, b.adv.Site), cmp.Compare(a.product, b.product), cmp.Compare(a.seq, b.seq))
 	})
 
 	// Stage 1: prepare. Requests are pure values; the requested-epoch
@@ -103,7 +98,9 @@ func (s *Service) prepare(q *pendingQuery) {
 	for i, conv := range q.batch {
 		req := s.request(q.adv, q.product, conv, q.epsilon)
 		q.reqs[i] = req
-		s.markRequested(conv.Device, q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		if s.run.Requested != nil { // Lean mode keeps no accounting
+			s.run.Requested.Mark(conv.Device, q.adv.Site, req.FirstEpoch, req.LastEpoch)
+		}
 		if req.FirstEpoch < q.first {
 			q.first = req.FirstEpoch
 		}
@@ -118,26 +115,6 @@ func (s *Service) prepare(q *pendingQuery) {
 // by construction.
 func (s *Service) request(adv dataset.Advertiser, product string, conv events.Event, eps float64) *core.Request {
 	return BuildRequest(adv, product, conv, eps, s.cfg.WindowDays, s.cfg.EpochDays, s.cfg.Bias)
-}
-
-// markRequested records the device-epochs a report's window touches (skipped
-// in Lean mode, which trades the Fig. 4 denominators for bounded state).
-func (s *Service) markRequested(dev events.DeviceID, q events.Site, first, last events.Epoch) {
-	if s.run.Requested == nil {
-		return
-	}
-	for e := first; e <= last; e++ {
-		key := DevEpoch{dev, e}
-		m := s.run.Requested[key]
-		if m == nil {
-			m = make(map[events.Site]struct{}, 1)
-			s.run.Requested[key] = m
-		}
-		m[q] = struct{}{}
-		if s.dirtyReq != nil {
-			s.dirtyReq[key] = struct{}{}
-		}
-	}
 }
 
 // generateDay runs the generate stage for every due query at once. The

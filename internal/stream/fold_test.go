@@ -4,8 +4,9 @@ package stream
 // definition of a delta chain — and checks chainFold against it: every base
 // the background writer compacts from its in-memory fold must be
 // byte-identical to the reference fold of the chain on disk, the sorted
-// requested-table merge must equal a decode → map → re-encode merge, and a
-// fresh durable run must never read a generation back.
+// requested-table merge must equal a decode → map → re-encode merge through
+// the map-based reference codec below, and a fresh durable run must never
+// read a generation back.
 
 import (
 	"bytes"
@@ -442,6 +443,93 @@ func TestCompactionReadsNothing(t *testing.T) {
 	}
 }
 
+// encodeRequested and decodeRequested are the reference requested-table
+// codec: the map-of-maps accounting RequestedSet replaced, encoded in
+// sorted order. The decoder is deliberately lenient (it accepts any
+// well-framed table); the production decoder must also reject tables the
+// encoder cannot write.
+
+// encodeRequested packs a map-based accounting in sorted order.
+func encodeRequested(requested map[DevEpoch]map[events.Site]struct{}) []byte {
+	if len(requested) == 0 {
+		return nil
+	}
+	keys := make([]DevEpoch, 0, len(requested))
+	for key := range requested {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b DevEpoch) int {
+		switch {
+		case a.Device != b.Device:
+			if a.Device < b.Device {
+				return -1
+			}
+			return 1
+		case a.Epoch < b.Epoch:
+			return -1
+		case a.Epoch > b.Epoch:
+			return 1
+		}
+		return 0
+	})
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(keys)))
+	var sites []string
+	for _, key := range keys {
+		sites = sites[:0]
+		for site := range requested[key] {
+			sites = append(sites, string(site))
+		}
+		slices.Sort(sites)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(key.Device))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(key.Epoch)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sites)))
+		for _, s := range sites {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
+		}
+	}
+	return buf
+}
+
+// decodeRequested overlays an encoded table onto a map-based accounting.
+func decodeRequested(buf []byte, into map[DevEpoch]map[events.Site]struct{}) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	if len(buf) < 4 {
+		return fmt.Errorf("stream: truncated requested table")
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	buf = buf[4:]
+	for i := 0; i < n; i++ {
+		if len(buf) < 16 {
+			return fmt.Errorf("stream: truncated requested entry")
+		}
+		dev := events.DeviceID(binary.LittleEndian.Uint64(buf))
+		epoch := events.Epoch(int32(binary.LittleEndian.Uint32(buf[8:])))
+		sn := int(binary.LittleEndian.Uint32(buf[12:]))
+		buf = buf[16:]
+		m := make(map[events.Site]struct{}, sn)
+		for j := 0; j < sn; j++ {
+			if len(buf) < 4 {
+				return fmt.Errorf("stream: truncated requested site")
+			}
+			ln := int(binary.LittleEndian.Uint32(buf))
+			buf = buf[4:]
+			if ln < 0 || ln > len(buf) {
+				return fmt.Errorf("stream: requested site of %d bytes exceeds buffer", ln)
+			}
+			m[events.Site(buf[:ln])] = struct{}{}
+			buf = buf[ln:]
+		}
+		into[DevEpoch{dev, epoch}] = m
+	}
+	if len(buf) != 0 {
+		return fmt.Errorf("stream: %d trailing bytes in requested table", len(buf))
+	}
+	return nil
+}
+
 // encodeTable builds an encodeRequested table from (device, epoch, sites)
 // rows.
 func encodeTable(rows ...reqRow) []byte {
@@ -454,6 +542,21 @@ func encodeTable(rows ...reqRow) []byte {
 		m[DevEpoch{events.DeviceID(r.dev), events.Epoch(r.epoch)}] = sites
 	}
 	return encodeRequested(m)
+}
+
+// rawTable encodes rows exactly as given: no sorting, no deduplication.
+func rawTable(rows ...reqRow) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(rows)))
+	for _, r := range rows {
+		buf = binary.LittleEndian.AppendUint64(buf, r.dev)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.epoch))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.sites)))
+		for _, s := range r.sites {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
+		}
+	}
+	return buf
 }
 
 type reqRow struct {
@@ -493,23 +596,32 @@ func TestMergeRequestedMatchesMapMerge(t *testing.T) {
 	cases := []struct {
 		name        string
 		base, delta []byte
+		corrupt     bool // the merge must refuse it
 	}{
-		{"both-empty", nil, nil},
-		{"empty-base", nil, a},
-		{"empty-delta", a, nil},
-		{"interleaved-and-equal-keys", a, b},
-		{"reversed", b, a},
-		{"same-table", a, a},
-		{"entry-without-sites", a, withEmptySite},
-		{"zero-count-header", []byte{0, 0, 0, 0}, b},
+		{"both-empty", nil, nil, false},
+		{"empty-base", nil, a, false},
+		{"empty-delta", a, nil, false},
+		{"interleaved-and-equal-keys", a, b, false},
+		{"reversed", b, a, false},
+		{"same-table", a, a, false},
+		// A zero-site entry would count in the Fig. 4 denominator
+		// although no querier touched the device-epoch.
+		{"entry-without-sites", a, withEmptySite, true},
+		{"zero-count-header", []byte{0, 0, 0, 0}, b, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := mapMerge(tc.base, tc.delta)
+			got, err := mergeRequested(tc.base, tc.delta)
+			if tc.corrupt {
+				if err == nil {
+					t.Fatal("non-canonical table merged without error")
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := mergeRequested(tc.base, tc.delta)
+			want, err := mapMerge(tc.base, tc.delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -518,6 +630,36 @@ func TestMergeRequestedMatchesMapMerge(t *testing.T) {
 			}
 		})
 	}
+
+	// Well-framed tables encode could not have written: the lenient
+	// reference decoder takes them, the merge and the set decoder refuse
+	// them on either side.
+	t.Run("non-canonical", func(t *testing.T) {
+		for name, bad := range map[string][]byte{
+			"zero-site-entry":  rawTable(reqRow{1, 0, []string{"a.example"}}, reqRow{2, 2, nil}),
+			"keys-unsorted":    rawTable(reqRow{3, 0, []string{"a.example"}}, reqRow{1, 0, []string{"a.example"}}),
+			"epochs-unsorted":  rawTable(reqRow{1, 4, []string{"a.example"}}, reqRow{1, -1, []string{"a.example"}}),
+			"key-repeated":     rawTable(reqRow{1, 0, []string{"a.example"}}, reqRow{1, 0, []string{"b.example"}}),
+			"sites-unsorted":   rawTable(reqRow{1, 0, []string{"b.example", "a.example"}}),
+			"site-repeated":    rawTable(reqRow{1, 0, []string{"a.example", "a.example"}}),
+			"empty-site-after": rawTable(reqRow{1, 0, []string{"a.example", ""}}),
+		} {
+			if err := decodeRequested(bad, make(map[DevEpoch]map[events.Site]struct{})); err != nil {
+				t.Fatalf("%s: reference decoder refused a well-framed table: %v", name, err)
+			}
+			for _, other := range [][]byte{nil, b} {
+				if _, err := mergeRequested(bad, other); err == nil {
+					t.Fatalf("%s: merged as base without error", name)
+				}
+				if _, err := mergeRequested(other, bad); err == nil {
+					t.Fatalf("%s: merged as delta without error", name)
+				}
+			}
+			if _, err := decodeRequestedSet(bad); err == nil {
+				t.Fatalf("%s: decoded into a set without error", name)
+			}
+		}
+	})
 
 	// Every strict non-empty prefix of a table, and a table with a trailing
 	// byte, is malformed on either side of the merge — whether or not the
@@ -535,6 +677,9 @@ func TestMergeRequestedMatchesMapMerge(t *testing.T) {
 				if _, err := mergeRequested(other, bad); err == nil {
 					t.Fatalf("delta truncated to %d of %d bytes merged without error", n, len(a))
 				}
+				if _, err := decodeRequestedSet(bad); err == nil {
+					t.Fatalf("table truncated to %d of %d bytes decoded without error", n, len(a))
+				}
 			}
 			trailing := append(slices.Clone(a), 0)
 			if _, err := mergeRequested(trailing, other); err == nil {
@@ -542,6 +687,9 @@ func TestMergeRequestedMatchesMapMerge(t *testing.T) {
 			}
 			if _, err := mergeRequested(other, trailing); err == nil {
 				t.Fatal("trailing byte in delta merged without error")
+			}
+			if _, err := decodeRequestedSet(trailing); err == nil {
+				t.Fatal("trailing byte decoded without error")
 			}
 		}
 	})
@@ -554,6 +702,9 @@ func TestMergeRequestedMatchesMapMerge(t *testing.T) {
 		bad = binary.LittleEndian.AppendUint32(bad, 1<<31)
 		if _, err := mergeRequested(bad, nil); err == nil {
 			t.Fatal("entry claiming 2^31 sites merged without error")
+		}
+		if _, err := decodeRequestedSet(bad); err == nil {
+			t.Fatal("entry claiming 2^31 sites decoded without error")
 		}
 	})
 }

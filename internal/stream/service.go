@@ -316,9 +316,9 @@ type Run struct {
 	Fleet *core.Fleet
 	// Central is the population-wide budgeter (for Central runs).
 	Central *budget.IPALike
-	// Requested maps each device-epoch touched by a query window to the
-	// queriers that touched it (nil in Lean mode).
-	Requested map[DevEpoch]map[events.Site]struct{}
+	// Requested records each device-epoch touched by a query window and
+	// the queriers that touched it (nil in Lean mode).
+	Requested *RequestedSet
 	// TotalConsumed is the summed consumed privacy loss across all
 	// device-epochs.
 	TotalConsumed float64
@@ -455,10 +455,9 @@ type Service struct {
 	gcEvents int
 	gcBytes  int
 	// Dirty-state baselines for delta capture (delta.go): per-device
-	// ledger versions, requested-accounting keys touched, and the results
-	// high-water mark since the previous capture.
+	// ledger versions and the results high-water mark at the previous
+	// capture (the requested set tracks its own dirty keys).
 	ledgerVers  map[events.DeviceID]uint64
-	dirtyReq    map[DevEpoch]struct{}
 	resultsMark int
 	// skip counts source events already covered by the restored durable
 	// state; Serve discards that prefix before going live (the source
@@ -511,7 +510,7 @@ func New(cfg Config) (*Service, error) {
 		s.run.Central = s.central
 	}
 	if !cfg.Lean {
-		s.run.Requested = make(map[DevEpoch]map[events.Site]struct{})
+		s.run.Requested = NewRequestedSet()
 	}
 	s.run.FirstSpanEpoch = events.EpochOfDay(1-cfg.WindowDays, cfg.EpochDays)
 	s.run.LastSpanEpoch = events.EpochOfDay(meta.DurationDays-1, cfg.EpochDays)

@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/events"
 	"repro/internal/stream"
 )
 
@@ -126,11 +125,8 @@ func RunFromStream(cfg Config, srun *stream.Run) *Run {
 		totalConsumed:  srun.TotalConsumed,
 		firstSpanEpoch: srun.FirstSpanEpoch,
 		lastSpanEpoch:  srun.LastSpanEpoch,
-		requested:      make(map[devEpoch]map[events.Site]struct{}, len(srun.Requested)),
+		requested:      srun.Requested,
 		central:        srun.Central,
-	}
-	for key, queriers := range srun.Requested {
-		r.requested[devEpoch{key.Device, key.Epoch}] = queriers
 	}
 	r.Results = make([]QueryResult, len(srun.Results))
 	for i, sr := range srun.Results {

@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math"
+	"strconv"
 )
 
 // CanonicalDigest returns a SHA-256 over a canonical serialization of
@@ -17,40 +17,54 @@ import (
 // reference.
 func (r *Run) CanonicalDigest() string {
 	h := sha256.New()
+	var buf []byte
 	for _, res := range r.Results {
-		fmt.Fprintf(h, "result|%s|%s|%d|%d|%t|%d|%d|",
+		buf = fmt.Appendf(buf[:0], "result|%s|%s|%d|%d|%t|%d|%d|",
 			res.Querier, res.Product, res.Index, res.Batch, res.Executed,
 			res.DeniedReports, res.BiasedReports)
-		writeFloat(h, res.Epsilon)
-		writeFloat(h, res.Truth)
-		writeFloat(h, res.Estimate)
-		writeFloat(h, res.RMSRE)
-		writeFloat(h, res.BiasEstimate)
-		fmt.Fprintf(h, "%d|%d|", res.FirstEpoch, res.LastEpoch)
-		writeFloat(h, res.avgBudgetAfter)
-		io.WriteString(h, "\n")
+		buf = appendFloat(buf, res.Epsilon)
+		buf = appendFloat(buf, res.Truth)
+		buf = appendFloat(buf, res.Estimate)
+		buf = appendFloat(buf, res.RMSRE)
+		buf = appendFloat(buf, res.BiasEstimate)
+		buf = fmt.Appendf(buf, "%d|%d|", res.FirstEpoch, res.LastEpoch)
+		buf = appendFloat(buf, res.avgBudgetAfter)
+		h.Write(append(buf, '\n'))
 	}
 	avg, max := r.BudgetStats()
-	io.WriteString(h, "metrics|")
-	writeFloat(h, avg)
-	writeFloat(h, max)
-	writeFloat(h, r.PopulationAvgBudget())
-	writeFloat(h, r.ExecutedFraction())
-	fmt.Fprintf(h, "%d|", r.RequestedDeviceEpochs())
-	io.WriteString(h, "\npairs|")
-	for _, v := range r.PerPairAverages() {
-		writeFloat(h, v)
+	buf = append(buf[:0], "metrics|"...)
+	buf = appendFloat(buf, avg)
+	buf = appendFloat(buf, max)
+	buf = appendFloat(buf, r.PopulationAvgBudget())
+	buf = appendFloat(buf, r.ExecutedFraction())
+	buf = strconv.AppendInt(buf, int64(r.RequestedDeviceEpochs()), 10)
+	buf = append(buf, "|\npairs|"...)
+	for _, v := range r.PerPairAverages() { // millions at Criteo scale
+		if buf = appendFloat(buf, v); len(buf) >= 4096 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// writeFloat serializes one float bit-exactly. NaN is normalized to a single
+// appendFloat serializes one float bit-exactly. NaN is normalized to a single
 // token: hardware NaN payloads are not specified cross-platform, and the
 // equivalence comparisons treat all NaNs as equal anyway.
-func writeFloat(w io.Writer, v float64) {
+func appendFloat(dst []byte, v float64) []byte {
 	if math.IsNaN(v) {
-		io.WriteString(w, "nan|")
-		return
+		return append(dst, "nan|"...)
 	}
-	fmt.Fprintf(w, "%016x|", math.Float64bits(v))
+	return appendBits(dst, math.Float64bits(v))
+}
+
+// appendBits appends bits as 16 lower-case hex digits and a '|': the bytes
+// of fmt's "%016x|", without its cost.
+func appendBits(dst []byte, bits uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[bits>>shift&0xf])
+	}
+	return append(dst, '|')
 }

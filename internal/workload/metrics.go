@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -28,40 +27,17 @@ func (r *Run) consumedAt(dev events.DeviceID, q events.Site, e events.Epoch) flo
 // per-querier losses, and the values are normalized by ε^G so they read as
 // "fraction of the epoch's budget spent".
 func (r *Run) BudgetStats() (avg, max float64) {
-	if len(r.requested) == 0 || r.Config.EpsilonG == 0 {
+	n := r.requested.Len()
+	if n == 0 || r.Config.EpsilonG == 0 {
 		return 0, 0
 	}
-	// Iterate in sorted order so float accumulation is deterministic
-	// run-to-run (map order would perturb the low bits).
-	keys := make([]devEpoch, 0, len(r.requested))
-	for key := range r.requested {
-		keys = append(keys, key)
-	}
-	slices.SortFunc(keys, func(a, b devEpoch) int {
-		switch {
-		case a.d != b.d:
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		case a.e < b.e:
-			return -1
-		case a.e > b.e:
-			return 1
-		}
-		return 0
-	})
+	// The set iterates in canonical order, so float accumulation is
+	// deterministic run-to-run.
 	sum := 0.0
-	for _, key := range keys {
-		queriers := r.requested[key]
-		sites := make([]events.Site, 0, len(queriers))
-		for q := range queriers {
-			sites = append(sites, q)
-		}
-		slices.Sort(sites)
+	for key, sites := range r.requested.All() {
 		total := 0.0
 		for _, q := range sites {
-			total += r.consumedAt(key.d, q, key.e)
+			total += r.consumedAt(key.Device, q, key.Epoch)
 		}
 		total /= r.Config.EpsilonG
 		sum += total
@@ -69,7 +45,7 @@ func (r *Run) BudgetStats() (avg, max float64) {
 			max = total
 		}
 	}
-	return sum / float64(len(r.requested)), max
+	return sum / float64(n), max
 }
 
 // EpochSpan returns the number of epochs any query window can touch
@@ -226,4 +202,4 @@ func (r *Run) ActiveDevices() int { return r.fleet.Len() }
 
 // RequestedDeviceEpochs returns the number of distinct device-epochs touched
 // by at least one query.
-func (r *Run) RequestedDeviceEpochs() int { return len(r.requested) }
+func (r *Run) RequestedDeviceEpochs() int { return r.requested.Len() }

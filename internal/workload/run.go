@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,7 +46,7 @@ type Run struct {
 	db        *events.Database
 	fleet     *core.Fleet
 	central   *budget.IPALike
-	requested map[devEpoch]map[events.Site]struct{}
+	requested *stream.RequestedSet // nil for Lean streaming runs
 	ipaNoise  *stats.RNG
 	// gen is the generate stage's reusable state (grouping scratch,
 	// per-worker workspaces), shared by every batch of the run.
@@ -74,7 +76,7 @@ func Execute(cfg Config) (*Run, error) {
 		TotalEpochs:    cfg.Dataset.Epochs(cfg.EpochDays),
 		EventsIngested: len(cfg.Dataset.Events),
 		db:             cfg.Dataset.Build(cfg.EpochDays),
-		requested:      make(map[devEpoch]map[events.Site]struct{}),
+		requested:      stream.NewRequestedSet(),
 	}
 	policy := cfg.PolicyOverride
 	if policy == nil {
@@ -165,17 +167,9 @@ func (r *Run) plan() []queryPlan {
 	}
 	// The key (fireDay, site, product, seq) is total, so the schedule is
 	// independent of map iteration order.
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].fireDay != plans[j].fireDay {
-			return plans[i].fireDay < plans[j].fireDay
-		}
-		if plans[i].advertiser.Site != plans[j].advertiser.Site {
-			return plans[i].advertiser.Site < plans[j].advertiser.Site
-		}
-		if plans[i].product != plans[j].product {
-			return plans[i].product < plans[j].product
-		}
-		return plans[i].seq < plans[j].seq
+	slices.SortFunc(plans, func(a, b queryPlan) int {
+		return cmp.Or(cmp.Compare(a.fireDay, b.fireDay), cmp.Compare(a.advertiser.Site, b.advertiser.Site),
+			cmp.Compare(a.product, b.product), cmp.Compare(a.seq, b.seq))
 	})
 	return plans
 }
@@ -187,20 +181,6 @@ func (r *Run) plan() []queryPlan {
 func (r *Run) request(adv dataset.Advertiser, product string, conv events.Event, eps float64) *core.Request {
 	return stream.BuildRequest(adv, product, conv, eps,
 		r.Config.WindowDays, r.Config.EpochDays, r.Config.Bias)
-}
-
-// markRequested records the device-epochs a report's window touches, for the
-// Fig. 4 budget denominators.
-func (r *Run) markRequested(dev events.DeviceID, q events.Site, first, last events.Epoch) {
-	for e := first; e <= last; e++ {
-		key := devEpoch{dev, e}
-		m := r.requested[key]
-		if m == nil {
-			m = make(map[events.Site]struct{}, 1)
-			r.requested[key] = m
-		}
-		m[q] = struct{}{}
-	}
 }
 
 // executeQuery runs one batch through the three pipeline stages: prepare
@@ -225,7 +205,7 @@ func (r *Run) executeQuery(service *aggregation.Service, p queryPlan) (QueryResu
 	for i, conv := range p.batch {
 		req := r.request(p.advertiser, p.product, conv, p.epsilon)
 		reqs[i] = req
-		r.markRequested(conv.Device, p.advertiser.Site, req.FirstEpoch, req.LastEpoch)
+		r.requested.Mark(conv.Device, p.advertiser.Site, req.FirstEpoch, req.LastEpoch)
 		if req.FirstEpoch < res.FirstEpoch {
 			res.FirstEpoch = req.FirstEpoch
 		}
